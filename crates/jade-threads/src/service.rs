@@ -54,8 +54,9 @@ use jade_core::{
     Synchronizer, TaggedEvent, TaskCtx, TaskDef, TaskId, TenantId, Transition,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Bound;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One tenant's program: a private object store plus its task DAG, built
@@ -260,8 +261,9 @@ impl TenantReport {
     }
 }
 
-/// One resident tenant. All fields are guarded by the service's core lock;
-/// only the store (and the executing task's body) escape it.
+/// One tenant, built on the submitter's thread and then handed to the core
+/// lock: once admitted, all fields are guarded by it; only the store (and
+/// the executing task's body) escape it.
 struct Tenant {
     store: Arc<Store>,
     /// Task bodies, taken by the executing worker; restored on an injected
@@ -269,7 +271,8 @@ struct Tenant {
     bodies: Vec<Option<TaskDef>>,
     sync: Synchronizer,
     events: EventSink,
-    /// Enabled, not-yet-dispatched tenant-local task indices (FIFO).
+    /// Enabled, not-yet-dispatched tenant-local task indices (FIFO). Empty
+    /// once the tenant is cancelled.
     ready: VecDeque<usize>,
     attempts: Vec<u32>,
     /// Locality target recorded when the task became ready (most recent
@@ -296,13 +299,10 @@ struct Tenant {
     carry: u32,
 }
 
-/// A submission waiting for an active slot.
+/// A submission waiting for an active slot, already built.
 struct PendingTenant {
     id: u32,
-    prog: Program,
-    deadline: Option<Instant>,
-    faults: Option<FaultPlan>,
-    weight: u32,
+    tenant: Tenant,
 }
 
 struct Core {
@@ -324,6 +324,17 @@ struct Core {
     /// Service-global logical event clock shared by every tenant's stream.
     clock: u64,
     shutdown: bool,
+    /// Workers parked on [`Inner::work`] (counted from the critical section
+    /// that found nothing to pick until the worker relocks).
+    idle: usize,
+    /// Dispatchable tasks: the summed `ready` queues of the active tenants.
+    ready: usize,
+    /// Active tenants carrying a deadline; deadlines are swept only while
+    /// this is non-zero.
+    deadlines: usize,
+    /// Scratch for the tasks a transition enables, reused so settling
+    /// allocates nothing.
+    newly: Vec<TaskId>,
 }
 
 impl Core {
@@ -331,6 +342,12 @@ impl Core {
         let t = *clock;
         *clock += 1;
         t
+    }
+
+    /// Ready work is waiting and a worker is parked: whoever releases the
+    /// lock after seeing this must `notify_one` (DESIGN.md §16).
+    fn should_wake(&self) -> bool {
+        self.ready > 0 && self.idle > 0
     }
 }
 
@@ -380,6 +397,10 @@ impl JadeService {
                 ctl: jade_core::Controller::new(),
                 clock: 0,
                 shutdown: false,
+                idle: 0,
+                ready: 0,
+                deadlines: 0,
+                newly: Vec::new(),
             }),
             work: Condvar::new(),
             done: Condvar::new(),
@@ -408,7 +429,8 @@ impl JadeService {
 
     /// Submit a tenant program. Returns its [`TenantId`] (pass to
     /// [`wait`](Self::wait)) or an explicit [`SubmitError`] — admission
-    /// never panics and never queues unboundedly.
+    /// never panics and never queues unboundedly. The program's tasks are
+    /// registered on the calling thread, before the service lock is taken.
     pub fn submit(&self, prog: Program, opts: TenantOptions) -> Result<TenantId, SubmitError> {
         if prog.tasks.is_empty() {
             return Err(SubmitError::EmptyProgram);
@@ -417,7 +439,9 @@ impl JadeService {
             plan.validate().map_err(SubmitError::InvalidFaultPlan)?;
         }
         let deadline = opts.deadline.map(|d| Instant::now() + d);
-        let weight = opts.weight.max(1);
+        // Registration is O(tasks); build the tenant here, on the caller's
+        // thread, so workers never wait on it.
+        let tenant = build_tenant(prog, deadline, opts.faults, opts.weight.max(1));
         let mut core = lock(&self.inner.core);
         if core.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -449,20 +473,16 @@ impl JadeService {
         }
         let id = core.next_id;
         core.next_id += 1;
-        let pend = PendingTenant {
-            id,
-            prog,
-            deadline,
-            faults: opts.faults,
-            weight,
-        };
         if core.active.len() < self.inner.cfg.max_active {
-            register_tenant(&mut core, pend);
+            admit(&mut core, id, tenant);
         } else {
-            core.pending.push_back(pend);
+            core.pending.push_back(PendingTenant { id, tenant });
         }
+        let wake = core.should_wake();
         drop(core);
-        self.inner.work.notify_all();
+        if wake {
+            self.inner.work.notify_one();
+        }
         Ok(TenantId(id))
     }
 
@@ -540,33 +560,34 @@ fn shed_report(p: &PendingTenant) -> TenantReport {
     TenantReport {
         tenant: TenantId(p.id),
         outcome: Outcome::Shed,
-        tasks_total: p.prog.tasks.len(),
+        tasks_total: p.tenant.n_tasks,
         tasks_completed: 0,
-        tasks_cancelled: p.prog.tasks.len(),
+        tasks_cancelled: p.tenant.n_tasks,
         recoveries: 0,
         store: Arc::new(Store::new()),
         events: Vec::new(),
     }
 }
 
-/// Move a pending submission into the active set: give it a synchronizer,
-/// register every task in serial program order, and queue the initially
-/// enabled ones.
-fn register_tenant(core: &mut Core, pend: PendingTenant) {
-    let PendingTenant {
-        id,
-        prog,
-        deadline,
-        faults,
-        weight,
-    } = pend;
+/// Build a submission into a tenant off the core lock: give it a
+/// synchronizer, register every task in serial program order, and queue the
+/// initially enabled ones. Registration takes one logical tick per task,
+/// stamped from 0; [`admit`] rebases the stamps onto the service clock.
+fn build_tenant(
+    prog: Program,
+    deadline: Option<Instant>,
+    faults: Option<FaultPlan>,
+    weight: u32,
+) -> Tenant {
     let n = prog.tasks.len();
-    let mut clock = core.clock;
     let mut tenant = Tenant {
         store: Arc::new(prog.store),
         bodies: Vec::with_capacity(n),
         sync: Synchronizer::new(true),
-        events: EventSink::recording(),
+        // A clean run emits five lifecycle events per task (created,
+        // enabled, dispatched, started, completed); reserving them here
+        // keeps buffer growth out of the locked path.
+        events: EventSink::Record(Vec::with_capacity(5 * n)),
         ready: VecDeque::new(),
         attempts: vec![0; n],
         targets: vec![None; n],
@@ -584,17 +605,33 @@ fn register_tenant(core: &mut Core, pend: PendingTenant) {
     };
     tenant.owners.ensure(tenant.store.len());
     for (i, def) in prog.tasks.into_iter().enumerate() {
-        let t = Core::tick(&mut clock);
-        let enabled =
-            tenant
-                .sync
-                .add_task_traced(TaskId(i as u32), &def.spec, &mut tenant.events, t, 0);
+        let enabled = tenant.sync.add_task_traced(
+            TaskId(i as u32),
+            &def.spec,
+            &mut tenant.events,
+            i as u64,
+            0,
+        );
         tenant.bodies.push(Some(def));
         if enabled {
             tenant.ready.push_back(i);
         }
     }
-    core.clock = clock;
+    tenant
+}
+
+/// Make a built tenant resident. Its registration events move to the
+/// service clock's next `n_tasks` ticks, the times an under-lock
+/// registration at this point would have stamped.
+fn admit(core: &mut Core, id: u32, mut tenant: Tenant) {
+    if let EventSink::Record(events) = &mut tenant.events {
+        for e in events {
+            e.time_ps += core.clock;
+        }
+    }
+    core.clock += tenant.n_tasks as u64;
+    core.ready += tenant.ready.len();
+    core.deadlines += usize::from(tenant.deadline.is_some());
     core.active.insert(id, tenant);
 }
 
@@ -608,6 +645,7 @@ fn cancel_tenant(core: &mut Core, inner: &Inner, id: u32, outcome: Outcome) {
     if t.cancel.is_none() {
         t.cancel = Some(outcome);
     }
+    core.ready -= t.ready.len();
     t.ready.clear();
     if t.running == 0 {
         finalize_tenant(core, inner, id);
@@ -621,6 +659,11 @@ fn finalize_tenant(core: &mut Core, inner: &Inner, id: u32) {
         return;
     };
     debug_assert_eq!(t.running, 0, "finalizing tenant {id} with running tasks");
+    debug_assert!(
+        t.ready.is_empty(),
+        "finalizing tenant {id} with ready tasks"
+    );
+    core.deadlines -= usize::from(t.deadline.is_some());
     let outcome = t.cancel.take().unwrap_or(Outcome::Completed);
     let report = TenantReport {
         tenant: TenantId(id),
@@ -636,18 +679,21 @@ fn finalize_tenant(core: &mut Core, inner: &Inner, id: u32) {
     inner.done.notify_all();
 }
 
-/// Lazily observe expired deadlines. Runs at every pick, so an expired
-/// tenant is cancelled before any further task of it is dispatched.
-fn sweep_deadlines(core: &mut Core, inner: &Inner, now: Instant) {
-    let expired: Vec<u32> = core
+/// Lazily observe expired deadlines; returns whether any tenant expired.
+/// Runs at every pick while some active tenant has a deadline, so an
+/// expired tenant is cancelled before any further task of it is dispatched.
+fn sweep_deadlines(core: &mut Core, inner: &Inner, now: Instant) -> bool {
+    let mut expired = false;
+    while let Some(id) = core
         .active
         .iter()
-        .filter(|(_, t)| t.cancel.is_none() && t.deadline.is_some_and(|d| now >= d))
+        .find(|(_, t)| t.cancel.is_none() && t.deadline.is_some_and(|d| now >= d))
         .map(|(&id, _)| id)
-        .collect();
-    for id in expired {
+    {
         cancel_tenant(core, inner, id, Outcome::DeadlineExceeded);
+        expired = true;
     }
+    expired
 }
 
 /// Admit pending submissions into freed active slots, oldest first.
@@ -656,7 +702,7 @@ fn pump_admissions(core: &mut Core, inner: &Inner) {
         let Some(pend) = core.pending.pop_front() else {
             return;
         };
-        register_tenant(core, pend);
+        admit(core, pend.id, pend.tenant);
     }
 }
 
@@ -664,105 +710,122 @@ fn pump_admissions(core: &mut Core, inner: &Inner) {
 /// sweeps deadlines (both are cheap and must happen even when no task is
 /// runnable, or an all-expired service would never drain).
 fn pick(core: &mut Core, inner: &Inner, w: usize) -> Option<Picked> {
-    pump_admissions(core, inner);
-    sweep_deadlines(core, inner, Instant::now());
-    let ids: Vec<u32> = core.active.keys().copied().collect();
-    if ids.is_empty() {
+    // Sweep after pumping, so an admitted tenant that has already expired
+    // is cancelled before dispatch; pump again after a sweep, since an
+    // expired tenant may have freed its slot.
+    loop {
+        pump_admissions(core, inner);
+        if core.deadlines == 0 || !sweep_deadlines(core, inner, Instant::now()) {
+            break;
+        }
+    }
+    debug_assert_eq!(
+        core.ready,
+        core.active.values().map(|t| t.ready.len()).sum::<usize>()
+    );
+    if core.active.is_empty() {
         return None;
     }
     // Tuned policy: bound how long one tenant may monopolize the dispatch
     // stream while others wait. The cap shrinks as more tenants have ready
     // work; u32::MAX (tuning off) makes the forced-handoff branch dead.
     let (cap, ready_tenants) = if inner.cfg.tune {
-        let ready_tenants = ids
-            .iter()
-            .filter(|i| {
-                core.active
-                    .get(i)
-                    .is_some_and(|t| t.cancel.is_none() && !t.ready.is_empty())
-            })
-            .count();
+        let ready_tenants = core.active.values().filter(|t| !t.ready.is_empty()).count();
         (core.ctl.credit_cap(ready_tenants), ready_tenants)
     } else {
         (u32::MAX, 0)
     };
-    // Weighted round-robin: keep serving the cursor tenant while it has
-    // credit, otherwise start scanning just past it.
-    let start = if core.rr_credit > 0 {
-        ids.partition_point(|&i| i < core.rr_cursor)
-    } else {
-        ids.partition_point(|&i| i <= core.rr_cursor)
-    } % ids.len();
-    for k in 0..ids.len() {
-        let id = ids[(start + k) % ids.len()];
-        let Some(t) = core.active.get_mut(&id) else {
-            continue;
-        };
-        if t.cancel.is_some() || t.ready.is_empty() {
-            continue;
-        }
-        let continuing = id == core.rr_cursor && core.rr_credit > 0;
-        if continuing && core.burst >= cap && ready_tenants > 1 {
-            // Forced handoff: bank the unserved credit so the tenant's next
-            // turn finishes it (long-run weight ratios are untouched) and
-            // let the scan move on to the waiting tenants.
-            t.carry = t.carry.saturating_add(core.rr_credit);
-            core.rr_credit = 0;
-            continue;
-        }
-        if !continuing {
-            if id != core.rr_cursor {
-                core.burst = 0;
-            }
-            core.rr_cursor = id;
-            core.rr_credit = if t.carry > 0 {
-                std::mem::take(&mut t.carry)
-            } else {
-                t.weight.max(1)
-            };
-        }
-        core.rr_credit -= 1;
-        core.burst = core.burst.saturating_add(1);
-        let local = t.ready.pop_front().expect("ready checked non-empty");
-        let def = t.bodies[local].take().expect("task dispatched twice");
-        let attempt = t.attempts[local];
-        let injected = t
-            .faults
-            .as_ref()
-            .is_some_and(|plan| task_crashes(plan, local as u64, attempt, inner.cfg.workers));
-        t.running += 1;
-        let target = t.targets[local];
-        let locality = match target {
-            None => Locality::Untracked,
-            Some(tw) if tw == w => Locality::Hit,
-            Some(_) => Locality::Miss,
-        };
-        let mut clock = core.clock;
-        let time = Core::tick(&mut clock);
-        let t = core.active.get_mut(&id).expect("tenant still active");
-        t.events.emit_task(
-            time,
-            w,
-            EventKind::TaskDispatched {
-                stolen: false,
-                locality,
-            },
-            TaskId(local as u32),
-        );
-        t.events
-            .emit_task(time, w, EventKind::TaskStarted, TaskId(local as u32));
-        let store = Arc::clone(&t.store);
-        core.clock = clock;
-        return Some(Picked {
-            tenant: id,
-            local,
-            def,
-            attempt,
-            injected,
-            store,
-        });
+    // Checked after the cap, which the controller logs at every pick over
+    // a non-empty active set.
+    if core.ready == 0 {
+        return None;
     }
-    None
+    // Weighted round-robin: keep serving the cursor tenant while it has
+    // credit, otherwise start scanning just past it, wrapping around.
+    let cursor = core.rr_cursor;
+    let (from, wrap_to) = if core.rr_credit > 0 {
+        (Bound::Included(cursor), Bound::Excluded(cursor))
+    } else {
+        (Bound::Excluded(cursor), Bound::Included(cursor))
+    };
+    let mut handoff = false;
+    let mut chosen = None;
+    for (&id, t) in core
+        .active
+        .range((from, Bound::Unbounded))
+        .chain(core.active.range((Bound::Unbounded, wrap_to)))
+    {
+        if t.ready.is_empty() {
+            continue;
+        }
+        let continuing = id == cursor && core.rr_credit > 0;
+        if continuing && core.burst >= cap && ready_tenants > 1 {
+            // Forced handoff: bank the unserved credit (below) so the
+            // tenant's next turn finishes it (long-run weight ratios are
+            // untouched) and let the scan move on to the waiting tenants.
+            handoff = true;
+            continue;
+        }
+        chosen = Some((id, continuing));
+        break;
+    }
+    if handoff {
+        let t = core
+            .active
+            .get_mut(&cursor)
+            .expect("handed-off tenant is active");
+        t.carry = t.carry.saturating_add(core.rr_credit);
+        core.rr_credit = 0;
+    }
+    let (id, continuing) = chosen.expect("ready work implies a pickable tenant");
+    let t = core.active.get_mut(&id).expect("chosen tenant is active");
+    if !continuing {
+        if id != core.rr_cursor {
+            core.burst = 0;
+        }
+        core.rr_cursor = id;
+        core.rr_credit = if t.carry > 0 {
+            std::mem::take(&mut t.carry)
+        } else {
+            t.weight.max(1)
+        };
+    }
+    core.rr_credit -= 1;
+    core.burst = core.burst.saturating_add(1);
+    core.ready -= 1;
+    let local = t.ready.pop_front().expect("ready checked non-empty");
+    let def = t.bodies[local].take().expect("task dispatched twice");
+    let attempt = t.attempts[local];
+    let injected = t
+        .faults
+        .as_ref()
+        .is_some_and(|plan| task_crashes(plan, local as u64, attempt, inner.cfg.workers));
+    t.running += 1;
+    let locality = match t.targets[local] {
+        None => Locality::Untracked,
+        Some(tw) if tw == w => Locality::Hit,
+        Some(_) => Locality::Miss,
+    };
+    let time = Core::tick(&mut core.clock);
+    t.events.emit_task(
+        time,
+        w,
+        EventKind::TaskDispatched {
+            stolen: false,
+            locality,
+        },
+        TaskId(local as u32),
+    );
+    t.events
+        .emit_task(time, w, EventKind::TaskStarted, TaskId(local as u32));
+    Some(Picked {
+        tenant: id,
+        local,
+        def,
+        attempt,
+        injected,
+        store: Arc::clone(&t.store),
+    })
 }
 
 /// The tenant-plan crash decision for one attempt: the keyed `panic_p`
@@ -781,32 +844,35 @@ fn task_crashes(plan: &FaultPlan, task: u64, attempt: u32, workers: usize) -> bo
 
 /// Apply a synchronizer transition for `tenant` and queue newly enabled
 /// tasks (unless the tenant is cancelled), recording their locality
-/// targets. Returns whether anything became ready.
-fn apply_transition(core: &mut Core, tenant: u32, tr: Transition, w: usize) -> bool {
-    let mut clock = core.clock;
-    let mut newly = Vec::new();
-    let t = core.active.get_mut(&tenant).expect("tenant still active");
-    let time = Core::tick(&mut clock);
-    t.sync.apply_traced(tr, &mut newly, &mut t.events, time, w);
-    let mut woke = false;
-    if t.cancel.is_none() {
-        for id in newly {
-            let local = id.index();
-            let spec = t.bodies[local]
-                .as_ref()
-                .map(|d| d.spec.clone())
-                .expect("enabled task has a body");
-            t.targets[local] = t.owners.latest_writer(&spec);
-            t.ready.push_back(local);
-            woke = true;
-        }
+/// targets.
+fn apply_transition(core: &mut Core, tenant: u32, tr: Transition, w: usize) {
+    let Core {
+        active,
+        clock,
+        ready,
+        newly,
+        ..
+    } = core;
+    let t = active.get_mut(&tenant).expect("tenant still active");
+    let time = Core::tick(clock);
+    newly.clear();
+    t.sync.apply_traced(tr, newly, &mut t.events, time, w);
+    if t.cancel.is_some() {
+        return;
     }
-    core.clock = clock;
-    woke
+    for id in newly.iter() {
+        let local = id.index();
+        let def = t.bodies[local].as_ref().expect("enabled task has a body");
+        t.targets[local] = t.owners.latest_writer(&def.spec);
+        t.ready.push_back(local);
+    }
+    *ready += newly.len();
 }
 
 /// Run one picked task outside the core lock, then settle the result.
-fn execute_and_settle(inner: &Inner, w: usize, p: Picked) {
+/// Returns the guard taken to settle, so the worker picks its next task
+/// in the same critical section.
+fn execute_and_settle(inner: &Inner, w: usize, p: Picked) -> MutexGuard<'_, Core> {
     let Picked {
         tenant,
         local,
@@ -826,12 +892,16 @@ fn execute_and_settle(inner: &Inner, w: usize, p: Picked) {
             resume_unwind(Box::new(InjectedFailure));
         }
         // Mid-task releases flush eagerly (a buffered release could
-        // deadlock a pipeline whose consumer is the only runnable task).
+        // deadlock a pipeline whose consumer is the only runnable task),
+        // and wake a parked worker for what they enable: this worker is
+        // still busy with the body.
         let hook = |obj: ObjectId| {
             let mut core = lock(&inner.core);
-            if apply_transition(&mut core, tenant, Transition::Release(id, obj), w) {
-                drop(core);
-                inner.work.notify_all();
+            apply_transition(&mut core, tenant, Transition::Release(id, obj), w);
+            let wake = core.should_wake();
+            drop(core);
+            if wake {
+                inner.work.notify_one();
             }
         };
         let ctx = TaskCtx::with_release_hook(&store, id, def.label, &def.spec, &hook);
@@ -864,44 +934,36 @@ fn execute_and_settle(inner: &Inner, w: usize, p: Picked) {
             // Injected-crash recovery: re-roll the fault hash with the
             // bumped attempt and re-queue; the body never ran, so the
             // retry is exact.
-            let mut clock = core.clock;
+            let core = &mut *core;
             let t = core.active.get_mut(&tenant).expect("tenant still active");
             t.attempts[local] = attempt + 1;
             t.recoveries += 1;
             t.running -= 1;
-            let time = Core::tick(&mut clock);
+            let time = Core::tick(&mut core.clock);
             t.events.emit(time, w, EventKind::WorkerFailed);
-            let time = Core::tick(&mut clock);
+            let time = Core::tick(&mut core.clock);
             t.events.emit_task(time, w, EventKind::TaskReExecuted, id);
             t.bodies[local] = Some(def);
             if t.cancel.is_none() {
                 t.ready.push_back(local);
+                core.ready += 1;
             } else if t.running == 0 {
-                core.clock = clock;
-                finalize_tenant(&mut core, inner, tenant);
-                drop(core);
-                inner.work.notify_all();
-                return;
+                finalize_tenant(core, inner, tenant);
             }
-            core.clock = clock;
         }
         Err(p) => {
             // Genuine tenant failure: contain it. Only this tenant is
             // cancelled; the pool and every other tenant keep running.
             let msg = panic_message(&*p, injected);
-            let mut clock = core.clock;
+            let core = &mut *core;
             let t = core.active.get_mut(&tenant).expect("tenant still active");
             t.running -= 1;
-            let time = Core::tick(&mut clock);
+            let time = Core::tick(&mut core.clock);
             t.events.emit(time, w, EventKind::WorkerFailed);
-            core.clock = clock;
-            cancel_tenant(&mut core, inner, tenant, Outcome::Failed(msg));
+            cancel_tenant(core, inner, tenant, Outcome::Failed(msg));
         }
     }
-    drop(core);
-    // Completions may have enabled successors, freed an active slot, or
-    // finished the tenant — wake pickers and waiters alike.
-    inner.work.notify_all();
+    core
 }
 
 fn panic_message(p: &(dyn std::any::Any + Send), injected: bool) -> String {
@@ -917,32 +979,41 @@ fn panic_message(p: &(dyn std::any::Any + Send), injected: bool) -> String {
     }
 }
 
+/// One lock acquisition per task: settle the last task and pick the next
+/// in one critical section, then run the body unlocked. A worker that
+/// takes a task while more ready work remains wakes one parked peer, which
+/// repeats the rule when it picks — so wake-ups chain exactly as far as
+/// there is work (DESIGN.md §16).
 fn worker_loop(inner: &Inner, w: usize) {
     let mut core = lock(&inner.core);
     loop {
         match pick(&mut core, inner, w) {
             Some(p) => {
+                let wake = core.should_wake();
                 drop(core);
-                execute_and_settle(inner, w, p);
-                core = lock(&inner.core);
+                if wake {
+                    inner.work.notify_one();
+                }
+                core = execute_and_settle(inner, w, p);
             }
             None => {
                 if core.shutdown && core.active.is_empty() && core.pending.is_empty() {
                     inner.work.notify_all();
                     return;
                 }
+                core.idle += 1;
                 // Expired-but-undrained deadlines need a periodic observer
                 // even when no completion or submission will wake us.
-                let has_deadline = core.active.values().any(|t| t.deadline.is_some());
-                if has_deadline {
-                    let (g, _) = inner
+                core = if core.deadlines > 0 {
+                    inner
                         .work
                         .wait_timeout(core, Duration::from_millis(5))
-                        .unwrap_or_else(|e| e.into_inner());
-                    core = g;
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
                 } else {
-                    core = inner.work.wait(core).unwrap_or_else(|e| e.into_inner());
-                }
+                    inner.work.wait(core).unwrap_or_else(|e| e.into_inner())
+                };
+                core.idle -= 1;
             }
         }
     }
@@ -951,7 +1022,10 @@ fn worker_loop(inner: &Inner, w: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jade_core::{check_lifecycle_per_tenant, TaskBuilder};
+    use jade_core::{check_conservation_per_tenant, check_lifecycle_per_tenant, TaskBuilder};
+    use std::collections::HashSet;
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::sync::Barrier;
 
     /// A chain program: `n` tasks serially incrementing one counter; task i
     /// also records its index, so the final value pins execution order.
@@ -988,6 +1062,221 @@ mod tests {
             }));
         }
         (prog, sum)
+    }
+
+    /// Run `f` on its own thread under a 10 s watchdog, so a lost wake-up
+    /// fails the test by name instead of hanging the suite.
+    fn within_watchdog(name: &str, f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = mpsc::channel();
+        let h = std::thread::spawn(move || {
+            f();
+            let _ = tx.send(());
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(()) => h.join().expect("watched test finished"),
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("{name}: no progress within 10 s (lost wake-up)")
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                resume_unwind(h.join().expect_err("watched test dropped its sender"))
+            }
+        }
+    }
+
+    /// Spin until at least `n` workers are parked on the work condvar.
+    fn until_parked(inner: &Inner, n: usize) {
+        while lock(&inner.core).idle < n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Two readers enabled by one completion meet on a barrier: the
+    /// settling worker runs one and must wake the parked worker for the
+    /// other, or both wait forever.
+    #[test]
+    fn settle_wakes_a_parked_worker_for_remaining_ready_work() {
+        within_watchdog("barrier readers", || {
+            let svc = JadeService::new(ServiceConfig::new(2));
+            let inner = Arc::clone(&svc.inner);
+            let barrier = Arc::new(Barrier::new(2));
+            let mut prog = Program::new();
+            let x = prog.create("x", 8, 0u64);
+            let lanes = [prog.create("l0", 8, 0u64), prog.create("l1", 8, 0u64)];
+            prog.submit(TaskBuilder::new("writer").rd_wr(x).body(move |ctx| {
+                // Complete only once the other worker is parked, so the
+                // settle's wake-up is the only way to reach it.
+                until_parked(&inner, 1);
+                *ctx.wr(x) = 7;
+            }));
+            for lane in lanes {
+                let b = Arc::clone(&barrier);
+                prog.submit(
+                    TaskBuilder::new("reader")
+                        .rd(x)
+                        .rd_wr(lane)
+                        .body(move |ctx| {
+                            b.wait();
+                            *ctx.wr(lane) = *ctx.rd(x);
+                        }),
+                );
+            }
+            let id = svc.submit(prog, TenantOptions::default()).unwrap();
+            let r = svc.wait(id);
+            assert_eq!(r.outcome, Outcome::Completed);
+            assert_eq!(lanes.map(|l| *r.store.read(l)), [7, 7]);
+        });
+    }
+
+    #[test]
+    fn submission_wakes_a_fully_parked_pool() {
+        within_watchdog("submit to parked pool", || {
+            let svc = JadeService::new(ServiceConfig::new(2));
+            until_parked(&svc.inner, 2);
+            let (prog, h) = chain_program(10);
+            let id = svc.submit(prog, TenantOptions::default()).unwrap();
+            assert_eq!(*svc.wait(id).store.read(h), chain_expected(10));
+        });
+    }
+
+    #[test]
+    fn shutdown_joins_parked_workers() {
+        within_watchdog("shutdown with parked workers", || {
+            let svc = JadeService::new(ServiceConfig::new(3));
+            let id = svc
+                .submit(chain_program(5).0, TenantOptions::default())
+                .unwrap();
+            assert_eq!(svc.wait(id).outcome, Outcome::Completed);
+            until_parked(&svc.inner, 3);
+            svc.shutdown();
+        });
+    }
+
+    /// The producer releases its object only after the other worker has
+    /// parked, then blocks until the consumer ran: the release hook's
+    /// wake-up is the only way the consumer gets a worker.
+    #[test]
+    fn mid_task_release_wakes_a_parked_worker() {
+        within_watchdog("release wakes parked worker", || {
+            let svc = JadeService::new(ServiceConfig::new(2));
+            let inner = Arc::clone(&svc.inner);
+            let mut prog = Program::new();
+            let a = prog.create("a", 8, 0u64);
+            let b = prog.create("b", 8, 0u64);
+            let flag = Arc::new((Mutex::new(false), Condvar::new()));
+            let f1 = Arc::clone(&flag);
+            prog.submit(TaskBuilder::new("producer").rd_wr(a).body(move |ctx| {
+                *ctx.wr(a) = 42;
+                until_parked(&inner, 1);
+                ctx.release(a);
+                let (m, cv) = &*f1;
+                let mut ran = lock(m);
+                while !*ran {
+                    ran = cv.wait(ran).unwrap_or_else(|e| e.into_inner());
+                }
+            }));
+            let f2 = Arc::clone(&flag);
+            prog.submit(
+                TaskBuilder::new("consumer")
+                    .rd(a)
+                    .rd_wr(b)
+                    .body(move |ctx| {
+                        *ctx.wr(b) = *ctx.rd(a) + 1;
+                        let (m, cv) = &*f2;
+                        *lock(m) = true;
+                        cv.notify_all();
+                    }),
+            );
+            let id = svc.submit(prog, TenantOptions::default()).unwrap();
+            let r = svc.wait(id);
+            assert_eq!(r.outcome, Outcome::Completed);
+            assert_eq!(*r.store.read(b), 43);
+        });
+    }
+
+    /// Registration runs off the lock with stamps from 0 and is rebased at
+    /// admission. Tenants admitted from the pending queue after others ran
+    /// must get registration stamps contiguous from the service clock at
+    /// that moment (one past the previous tenant's last event, on one
+    /// worker), and every tick of the global clock belongs to exactly one
+    /// tenant.
+    #[test]
+    fn pending_admission_rebases_registration_onto_the_service_clock() {
+        let cfg = ServiceConfig {
+            workers: 1,
+            max_active: 1,
+            max_pending: 4,
+            shed: ShedPolicy::RejectNew,
+            tune: false,
+        };
+        let svc = JadeService::new(cfg);
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let (mut first, _) = chain_program(6);
+        let hb = first.create("b", 8, 0u64);
+        let g = Arc::clone(&gate);
+        first.submit(TaskBuilder::new("block").rd_wr(hb).body(move |_| {
+            let (m, cv) = &*g;
+            let mut open = lock(m);
+            while !*open {
+                open = cv.wait(open).unwrap_or_else(|e| e.into_inner());
+            }
+        }));
+        let mut ids = vec![svc.submit(first, TenantOptions::default()).unwrap()];
+        ids.push(
+            svc.submit(wide_program(5).0, TenantOptions::default())
+                .unwrap(),
+        );
+        ids.push(
+            svc.submit(chain_program(4).0, TenantOptions::default())
+                .unwrap(),
+        );
+        assert_eq!(svc.pending_len(), 2, "later tenants must queue");
+        let (m, cv) = &*gate;
+        *lock(m) = true;
+        cv.notify_all();
+        let reports: Vec<TenantReport> = ids.iter().map(|&id| svc.wait(id)).collect();
+        let mut tagged = Vec::new();
+        for pair in reports.windows(2) {
+            let (prev, next) = (&pair[0], &pair[1]);
+            assert_eq!(next.outcome, Outcome::Completed);
+            let admitted_at = prev.events.iter().map(|e| e.time_ps).max().unwrap() + 1;
+            let created: Vec<u64> = next
+                .events
+                .iter()
+                .filter(|e| e.kind == EventKind::TaskCreated)
+                .map(|e| e.time_ps)
+                .collect();
+            let want: Vec<u64> = (admitted_at..admitted_at + next.tasks_total as u64).collect();
+            assert_eq!(created, want, "tenant {} registration stamps", next.tenant);
+            let first_dispatch = next
+                .events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::TaskDispatched { .. }))
+                .map(|e| e.time_ps)
+                .min();
+            assert_eq!(first_dispatch, Some(admitted_at + next.tasks_total as u64));
+        }
+        let mut keys = HashSet::new();
+        let mut owner: HashMap<u64, TenantId> = HashMap::new();
+        for r in &reports {
+            for te in r.tagged_events() {
+                let e = &te.event;
+                assert!(
+                    keys.insert((te.tenant, e.time_ps, format!("{:?}", e.kind), e.task)),
+                    "duplicate event key in tenant {}: {e:?}",
+                    te.tenant
+                );
+                let first = *owner.entry(e.time_ps).or_insert(te.tenant);
+                assert_eq!(first, te.tenant, "tick {} shared by two tenants", e.time_ps);
+                tagged.push(te);
+            }
+        }
+        let ticks = owner.len() as u64;
+        assert!(
+            (0..ticks).all(|t| owner.contains_key(&t)),
+            "service clock has gaps"
+        );
+        check_lifecycle_per_tenant(&tagged).expect("per-tenant lifecycle");
+        check_conservation_per_tenant(&tagged, 1).expect("per-tenant conservation");
     }
 
     #[test]
